@@ -1,8 +1,13 @@
 GO ?= go
 
-.PHONY: check vet lint build test race bench-smoke fuzz-smoke bench benchdiff benchdiff-test cover serve-smoke cluster-smoke golden
+.PHONY: check fmt vet lint build test race bench-smoke fuzz-smoke bench benchdiff benchdiff-test cover serve-smoke cluster-smoke golden
 
-check: vet lint build race bench-smoke benchdiff benchdiff-test cover fuzz-smoke cluster-smoke
+check: fmt vet lint build race bench-smoke benchdiff benchdiff-test cover fuzz-smoke cluster-smoke
+
+# Fails when any tracked Go file is not gofmt-clean, listing them.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt drift:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -29,12 +34,14 @@ race:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Short fuzz sessions for the dynamic structures and the binary trace
-# codec; cheap enough to run in every `make check`.
+# Short fuzz sessions for the dynamic structures, the binary trace
+# codec and the replica-side frame parser; cheap enough to run in
+# every `make check`.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 	$(GO) test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
+	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
 
 # Benchmark the hot packages and write the machine-readable baseline
 # for this PR (diff against the previous PR's with `make benchdiff`).

@@ -11,7 +11,7 @@
 //	          [-trace-format jsonl|binary] [-pprof-addr 127.0.0.1:6060]
 //	          [-node-id ID -peers "id1=http://h1:p1,id2=http://h2:p2,..."]
 //	          [-node-id ID -advertise http://h:p -join http://seed:p]
-//	          [-ship-window N] [-ship-flush-interval D]
+//	          [-ship-flush-interval D]
 //
 // With -node-id and -peers the daemon seeds a cluster
 // (internal/cluster): a consistent-hash ring places each session on an
@@ -90,7 +90,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		joinURL      = fs.String("join", "", "base URL of an existing member to join at startup (requires -node-id and -advertise)")
 		advertise    = fs.String("advertise", "", "base URL other nodes reach this daemon on (required with -join)")
 		probeEvery   = fs.Duration("probe-interval", 2*time.Second, "cluster peer health-probe interval")
-		shipWindow   = fs.Int("ship-window", 0, "in-flight replication frames per peer stream (0 = default 4, negative = synchronous per-mutation ships)")
 		shipFlush    = fs.Duration("ship-flush-interval", 0, "how long a replication shipper lingers to coalesce mutations into one frame (0 = ship immediately)")
 		pprofAddr    = fs.String("pprof-addr", "", "expose net/http/pprof on this side listener (empty = off; keep it loopback-only)")
 	)
@@ -159,7 +158,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		node, err := cluster.NewNode(cluster.Config{
 			ID:                *nodeID,
 			Peers:             peers,
-			ShipWindow:        *shipWindow,
 			ShipFlushInterval: *shipFlush,
 		}, s)
 		if err != nil {

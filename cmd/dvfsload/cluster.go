@@ -113,7 +113,9 @@ func runClusterHarness(opts options, w io.Writer) error {
 	rep := &churnReport{}
 	churnErr := make(chan error, 1)
 	//dvfslint:allow goroleak the churn goroutine is joined via churnErr below
-	go func() { churnErr <- runChurn(nodes, seedIDs, allIDs, sessions, rep, &ackedBatches, totalBatches, trafficDone) }()
+	go func() {
+		churnErr <- runChurn(nodes, seedIDs, allIDs, sessions, rep, &ackedBatches, totalBatches, trafficDone)
+	}()
 
 	type sessionAudit struct {
 		acked map[int]bool

@@ -40,11 +40,6 @@ type Config struct {
 	CheckpointEvery int
 	// ShipTimeout bounds each replication RPC (0 = 5s).
 	ShipTimeout time.Duration
-	// ShipWindow bounds in-flight replication frames per peer stream
-	// (0 = DefaultShipWindow). Negative selects the synchronous
-	// per-mutation ship path — the pre-stream baseline, kept for
-	// benchmarking and emergency rollback.
-	ShipWindow int
 	// ShipFlushInterval makes a woken shipper linger this long before
 	// building a frame, trading ack latency for larger coalesced
 	// frames (0 = ship immediately; pipelining already coalesces
@@ -58,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShipTimeout == 0 {
 		c.ShipTimeout = 5 * time.Second
-	}
-	if c.ShipWindow == 0 {
-		c.ShipWindow = DefaultShipWindow
 	}
 	return c
 }
@@ -104,16 +96,14 @@ type Node struct {
 
 	// shipsMu guards the whole streaming plane: ships (per-owned-
 	// session replication cursors), the per-peer shippers with their
-	// queues and in-flight counts, and the closed flag. In the legacy
-	// synchronous mode (ShipWindow < 0) it only guards the serialShips
-	// map. Never held across I/O; channel sends to released waiters
-	// happen after unlock (collected as shipRelease values).
+	// queues and in-flight counts, and the closed flag. Never held
+	// across I/O; channel sends to released waiters happen after unlock
+	// (collected as shipRelease values).
 	shipsMu     sync.Mutex
 	ships       map[string]*shipCursor
 	shippers    map[string]*shipper
 	shipsClosed bool
 	shipWG      sync.WaitGroup
-	serialShips map[string]*shipState
 
 	seq atomic.Uint64
 
@@ -167,7 +157,6 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		replicas:        replicaStore{m: map[string]*replica{}},
 		ships:           map[string]*shipCursor{},
 		shippers:        map[string]*shipper{},
-		serialShips:     map[string]*shipState{},
 		shipsTotal:      reg.Counter(obs.ClusterShips),
 		promotions:      reg.Counter(obs.ClusterPromotions),
 		peersDown:       reg.Gauge(obs.ClusterPeersDown),
@@ -188,9 +177,6 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/replica/frame", n.handleReplicaFrame)
-	mux.HandleFunc("POST /v1/cluster/replica/{id}/open", n.handleReplicaOpen)
-	mux.HandleFunc("POST /v1/cluster/replica/{id}/log", n.handleReplicaLog)
-	mux.HandleFunc("POST /v1/cluster/replica/{id}/checkpoint", n.handleReplicaCheckpoint)
 	mux.HandleFunc("POST /v1/cluster/replica/{id}/drop", n.handleReplicaDrop)
 	mux.HandleFunc("GET /v1/cluster/membership", n.handleMembershipGet)
 	mux.HandleFunc("POST /v1/cluster/membership", n.handleMembershipPost)
@@ -385,36 +371,6 @@ func (n *Node) EnsureLocal(ctx context.Context, id string) error {
 	return nil
 }
 
-// shipState is the replication cursor of one locally owned session on
-// the legacy synchronous path (ShipWindow < 0): one HTTP POST per
-// mutation, serialized per session by st.mu. It is kept as the
-// benchmark baseline the stream is measured against and as an
-// emergency rollback; the streaming cursors live in shipper.go.
-type shipState struct {
-	mu      sync.Mutex
-	target  string // replica node ID; "" when none is live
-	opened  bool   // replica acknowledged the open
-	shipped uint64 // last event Seq the replica's log covers
-	sinceCP int    // events shipped since the last checkpoint
-}
-
-func (n *Node) shipFor(id string) *shipState {
-	n.shipsMu.Lock()
-	defer n.shipsMu.Unlock()
-	st, ok := n.serialShips[id]
-	if !ok {
-		st = &shipState{}
-		n.serialShips[id] = st
-	}
-	return st
-}
-
-func (n *Node) dropShip(id string) {
-	n.shipsMu.Lock()
-	delete(n.serialShips, id)
-	n.shipsMu.Unlock()
-}
-
 // replicaTarget picks the session's replica: the first live candidate
 // on the ring that is not this node. "" means the cluster has no other
 // live node and the session runs unreplicated until one returns.
@@ -431,152 +387,14 @@ func (n *Node) replicaTarget(id string) string {
 // to date with the local recorder before the mutation's response is
 // released — for submits the router fails the request if this fails,
 // which is what makes "acked implies replicated" (and therefore
-// kill-tolerance) hold. On the default streamed path the call blocks
-// on the per-peer stream's ack covering the session's current log
-// tail (shipper.go); with ShipWindow < 0 it ships synchronously, one
-// POST per mutation. Either way the completion guarantee is the same,
-// which is what rehomeReplicas and the handoff path rely on.
+// kill-tolerance) hold. The call blocks on the per-peer stream's ack
+// covering the session's current log tail (shipper.go); rehomeReplicas
+// and the handoff path rely on that completion guarantee.
 func (n *Node) Replicate(ctx context.Context, id string, m server.Mutation) error {
 	if len(n.view().peers) == 1 {
 		return nil // solo "cluster": nothing to replicate to
 	}
-	if n.cfg.ShipWindow >= 0 {
-		return n.replicateStream(ctx, id, m)
-	}
-	return n.replicateSerial(ctx, id, m)
-}
-
-// replicateSerial is the per-request baseline: synchronously ship the
-// unshipped log tail within this call. If the current replica died,
-// the next live candidate is adopted and the full log re-shipped once.
-func (n *Node) replicateSerial(ctx context.Context, id string, m server.Mutation) error {
-	st := n.shipFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	if m == server.MutationPurge {
-		target := st.target
-		st.target, st.opened, st.shipped, st.sinceCP = "", false, 0, 0
-		n.dropShip(id)
-		if target != "" {
-			// Best effort: a leaked tombstone on the replica is dropped
-			// the next time the session ID is reused or the node
-			// restarts.
-			_ = n.post(ctx, target, "/v1/cluster/replica/"+id+"/drop", "", nil)
-		}
-		return nil
-	}
-
-	target := n.replicaTarget(id)
-	if target == "" {
-		return nil // degrade: no live replica candidate
-	}
-	if target != st.target {
-		st.target, st.opened, st.shipped, st.sinceCP = target, false, 0, 0
-	}
-	err := n.shipLocked(ctx, id, st, m)
-	if err == nil {
-		n.shipsTotal.Inc()
-		return nil
-	}
-	if !isStatusError(err) {
-		// Transport failure: the replica is gone. Mark it down, adopt
-		// the next candidate and re-ship the full log, once.
-		n.Observe(st.target, err)
-		next := n.replicaTarget(id)
-		if next == "" {
-			return nil // degrade: last other node just died
-		}
-		if next != st.target {
-			st.target, st.opened, st.shipped, st.sinceCP = next, false, 0, 0
-			if retryErr := n.shipLocked(ctx, id, st, m); retryErr == nil {
-				n.shipsTotal.Inc()
-				return nil
-			}
-		}
-	}
-	return fmt.Errorf("cluster: replicate session %s to %s: %w", id, st.target, err)
-}
-
-// openReplica (re)announces the session to st.target's replica store
-// and marks the cursor open. Opens are idempotent: an existing replica
-// keeps its log and only refreshes the spec.
-func (n *Node) openReplica(ctx context.Context, id string, st *shipState) error {
-	spec, ok := n.srv.SessionSpec(id)
-	if !ok {
-		return fmt.Errorf("session %s vanished mid-ship", id)
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	if err := n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/open", "application/json", body); err != nil {
-		return err
-	}
-	st.opened = true
-	return nil
-}
-
-// shipLocked pushes the unshipped log tail (and, when due, a fresh
-// checkpoint) to st.target. Caller holds st.mu. The order is
-// snapshot-then-events-then-checkpoint: the snapshot is taken first so
-// the events shipped alongside are guaranteed to cover its sequence
-// number — the replica rejects a checkpoint ahead of its log, which
-// would leave a trace gap at promotion.
-func (n *Node) shipLocked(ctx context.Context, id string, st *shipState, m server.Mutation) error {
-	var checkpoint []byte
-	if m == server.MutationSubmit && st.sinceCP >= n.cfg.CheckpointEvery {
-		blob, err := n.srv.SnapshotSession(ctx, id)
-		if err == nil {
-			checkpoint = blob
-		}
-		// A failed snapshot (busy shard, drained session) skips this
-		// round's checkpoint; the log alone still makes the replica
-		// complete, just slower to promote.
-	}
-	events, err := n.srv.SessionEventsSince(id, st.shipped)
-	if err != nil {
-		return err
-	}
-	if !st.opened {
-		if err := n.openReplica(ctx, id, st); err != nil {
-			return err
-		}
-	}
-	if len(events) > 0 {
-		err := n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/log", "application/octet-stream", obs.AppendBinary(nil, events))
-		if isStatusError(err) {
-			// The replica lost state we thought it had: it found a log
-			// gap (409 — it restarted and kept nothing), or the replica
-			// itself is gone (404 — dropped out from under an open ship
-			// cursor, e.g. by an old owner's post-migration cleanup
-			// racing the new owner's first ship after a handoff). Both
-			// heal the same way: re-open — idempotent, an existing
-			// replica keeps its log — and re-ship the full log once;
-			// the replica skips duplicates below its tail.
-			st.opened, st.shipped = false, 0
-			full, ferr := n.srv.SessionEventsSince(id, 0)
-			if ferr != nil {
-				return ferr
-			}
-			if err = n.openReplica(ctx, id, st); err == nil {
-				err = n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/log", "application/octet-stream", obs.AppendBinary(nil, full))
-				events = full
-			}
-		}
-		if err != nil {
-			return err
-		}
-		st.shipped = events[len(events)-1].Seq
-		st.sinceCP += len(events)
-	}
-	if len(checkpoint) > 0 {
-		if err := n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/checkpoint", "application/octet-stream", checkpoint); err != nil {
-			return err
-		}
-		st.sinceCP = 0
-	}
-	return nil
+	return n.replicateStream(ctx, id, m)
 }
 
 // statusError is a non-2xx reply from a replication endpoint — the
@@ -593,6 +411,18 @@ func (e *statusError) Error() string {
 func isStatusError(err error) bool {
 	var se *statusError
 	return errors.As(err, &se)
+}
+
+// replyError maps a reply to nil on 2xx and to a *statusError carrying
+// the first KiB of the trimmed body otherwise.
+func replyError(status int, body []byte) error {
+	if status >= 200 && status < 300 {
+		return nil
+	}
+	if len(body) > 1024 {
+		body = body[:1024]
+	}
+	return &statusError{code: status, body: string(bytes.TrimSpace(body))}
 }
 
 // post sends one replication RPC to a peer by node ID, resolving its
@@ -620,13 +450,7 @@ func (n *Node) doAddr(ctx context.Context, method, addr, path, contentType strin
 	if err != nil {
 		return err
 	}
-	if status < 200 || status >= 300 {
-		if len(msg) > 1024 {
-			msg = msg[:1024]
-		}
-		return &statusError{code: status, body: string(bytes.TrimSpace(msg))}
-	}
-	return nil
+	return replyError(status, msg)
 }
 
 // doAddrJSON is doAddr plus decoding a 2xx reply body into out.
@@ -635,11 +459,8 @@ func (n *Node) doAddrJSON(ctx context.Context, method, addr, path string, body [
 	if err != nil {
 		return err
 	}
-	if status < 200 || status >= 300 {
-		if len(msg) > 1024 {
-			msg = msg[:1024]
-		}
-		return &statusError{code: status, body: string(bytes.TrimSpace(msg))}
+	if err := replyError(status, msg); err != nil {
+		return err
 	}
 	if out == nil {
 		return nil

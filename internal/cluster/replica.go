@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 
 	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
-	"dvfsched/internal/sim"
 )
 
 // replica is the cold standby state of one session owned elsewhere:
@@ -157,73 +154,9 @@ func (rep *replica) setCheckpoint(blob []byte, evSeq uint64) error {
 
 // --- internal HTTP endpoints (owner -> replica) ---
 
-func (n *Node) handleReplicaOpen(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var spec server.PlatformSpec
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if err := json.Unmarshal(body, &spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decode spec: %v", err)
-		return
-	}
-	n.replicas.open(id, spec)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (n *Node) handleReplicaLog(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, ok := n.replicas.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no replica for session %q", id)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	events, err := obs.ReadBinary(bytes.NewReader(body))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decode log: %v", err)
-		return
-	}
-	if err := rep.appendLog(events); err != nil {
-		// 409 tells the owner to re-ship the full log.
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (n *Node) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, ok := n.replicas.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no replica for session %q", id)
-		return
-	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	// Decode to learn the checkpoint's event sequence number — and to
-	// refuse storing bytes a promotion could not restore from.
-	cp, err := sim.UnmarshalCheckpoint(blob)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decode checkpoint: %v", err)
-		return
-	}
-	if err := rep.setCheckpoint(blob, cp.EvSeq); err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
+// handleReplicaDrop is POST /v1/cluster/replica/{id}/drop: forget a
+// purged session's replica. Everything else the owner sends travels in
+// stream frames (handleReplicaFrame, shipper.go).
 func (n *Node) handleReplicaDrop(w http.ResponseWriter, r *http.Request) {
 	n.replicas.drop(r.PathValue("id"))
 	w.WriteHeader(http.StatusNoContent)

@@ -41,7 +41,6 @@ const DefaultVNodes = 64
 // bounded-movement property the rebalance tests pin down.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	nodes  []string    // sorted membership
 }
 
 type ringPoint struct {
@@ -61,10 +60,7 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	}
 	sorted := append([]string(nil), nodes...)
 	sort.Strings(sorted)
-	r := &Ring{
-		points: make([]ringPoint, 0, len(sorted)*vnodes),
-		nodes:  sorted,
-	}
+	r := &Ring{points: make([]ringPoint, 0, len(sorted)*vnodes)}
 	seen := make(map[string]bool, len(sorted))
 	for _, n := range sorted {
 		if n == "" {
@@ -114,11 +110,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Nodes returns the ring's membership, sorted.
-func (r *Ring) Nodes() []string {
-	return append([]string(nil), r.nodes...)
 }
 
 // Owner returns the node owning key, ignoring liveness.

@@ -26,15 +26,14 @@ import (
 // opens and due checkpoints), pipelined up to a bounded in-flight
 // window. A mutation's response is released only when the frame ack
 // covering its event sequence number returns, so "acked implies
-// replicated" holds exactly as it did on the per-request path — the
-// ship cost just amortizes across every session that committed while
-// the previous frame was on the wire, the same group-commit idiom the
-// local intake ring applies to submits. DESIGN §14 documents the
-// protocol and the window/ack state machine.
+// replicated" holds for every mutation — the ship cost just amortizes
+// across every session that committed while the previous frame was on
+// the wire, the same group-commit idiom the local intake ring applies
+// to submits. DESIGN §14 documents the protocol and the window/ack
+// state machine.
 
-// DefaultShipWindow is the per-peer bound on in-flight replication
-// frames when Config.ShipWindow is zero.
-const DefaultShipWindow = 4
+// shipWindow is the per-peer bound on in-flight replication frames.
+const shipWindow = 4
 
 // maxShipHeals bounds consecutive heal rounds (replica reported a gap
 // or vanished) before the waiting mutations are failed instead of
@@ -117,15 +116,14 @@ func ackWaitersLocked(cur *shipCursor, rels []shipRelease) []shipRelease {
 
 // shipper is one peer's replication stream: a dispatcher goroutine
 // draining a queue of dirty cursors into coalesced frames, at most
-// `window` frames in flight. queue and inflight are guarded by
+// shipWindow frames in flight. queue and inflight are guarded by
 // Node.shipsMu like the cursors they reference.
 type shipper struct {
-	n      *Node
-	peer   string
-	window int
-	wake   chan struct{} // capacity 1: coalesces kicks
-	stop   chan struct{}
-	done   chan struct{}
+	n    *Node
+	peer string
+	wake chan struct{} // capacity 1: coalesces kicks
+	stop chan struct{}
+	done chan struct{}
 
 	queue    []*shipCursor
 	inflight int
@@ -140,12 +138,11 @@ func (n *Node) shipperForLocked(peer string) *shipper {
 	s, ok := n.shippers[peer]
 	if !ok {
 		s = &shipper{
-			n:      n,
-			peer:   peer,
-			window: n.cfg.ShipWindow,
-			wake:   make(chan struct{}, 1),
-			stop:   make(chan struct{}),
-			done:   make(chan struct{}),
+			n:    n,
+			peer: peer,
+			wake: make(chan struct{}, 1),
+			stop: make(chan struct{}),
+			done: make(chan struct{}),
 		}
 		n.shippers[peer] = s
 		go s.run()
@@ -252,7 +249,7 @@ type entryPlan struct {
 func (s *shipper) dispatchOne() bool {
 	n := s.n
 	n.shipsMu.Lock()
-	if n.shipsClosed || s.inflight >= s.window || len(s.queue) == 0 {
+	if n.shipsClosed || s.inflight >= shipWindow || len(s.queue) == 0 {
 		n.shipsMu.Unlock()
 		return false
 	}
@@ -510,18 +507,13 @@ func (s *shipper) postFrame(buf *shipBuf) error {
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		msg := buf.resp
-		if len(msg) > 1024 {
-			msg = msg[:1024]
-		}
-		n.Observe(s.peer, nil)
-		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+	n.Observe(s.peer, nil)
+	if err := replyError(resp.StatusCode, buf.resp); err != nil {
+		return err
 	}
 	if err := json.Unmarshal(buf.resp, &buf.res); err != nil {
 		return fmt.Errorf("decode reply from %s: %w", addr, err)
 	}
-	n.Observe(s.peer, nil)
 	return nil
 }
 
@@ -554,7 +546,7 @@ func appendLimitedRead(dst []byte, r io.Reader, max int64) ([]byte, error) {
 // cursors and release covered waiters on success, reset for a full
 // re-ship on a reported gap, or fail the stream over to the next ring
 // candidate on a transport error — carrying unacked waiters to the new
-// target once, exactly the retry budget the per-request path had.
+// target once: a mutation gets a single failover retry.
 func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 	n := s.n
 	transportFail := sendErr != nil && !isStatusError(sendErr)
@@ -664,7 +656,7 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 			}
 		}
 	}
-	if len(s.queue) > 0 && s.inflight < s.window {
+	if len(s.queue) > 0 && s.inflight < shipWindow {
 		kicks = append(kicks, s)
 	}
 	n.shipsMu.Unlock()
@@ -682,7 +674,7 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 // peer is marked down (Observe above), so the ring yields the next
 // live candidate; the stream re-opens there from zero. Waiters are
 // carried across exactly one failover — a second transport failure
-// fails them, mirroring the per-request path's single retry. No
+// fails them, so each mutation retries at most once. No
 // remaining candidate degrades to unreplicated, releasing the waiters
 // cleanly (the last other node just died; nothing to wait for).
 func (s *shipper) failover(plans []*entryPlan, sendErr error) []*shipper {
@@ -803,7 +795,7 @@ func (n *Node) enqueueWaiter(id, target string, seq uint64) (chan error, *shippe
 }
 
 // purgeStream retires a purged session's stream state and best-effort
-// drops the remote replica, like the per-request path did.
+// drops the remote replica.
 func (n *Node) purgeStream(ctx context.Context, id string) error {
 	n.shipsMu.Lock()
 	var rels []shipRelease
@@ -858,8 +850,8 @@ func (n *Node) Close() {
 // A frame is `uint32 big-endian header length | JSON frameHeader |
 // concatenated blobs`: per session entry, in header order, the DVFB
 // event blob then the checkpoint blob, each of the length the header
-// declares. JSON keeps the header debuggable; the payloads stay in the
-// binary trace codec the per-request path already shipped.
+// declares. JSON keeps the header debuggable; the event payload is the
+// DVFB binary trace codec and the checkpoint the DVSC snapshot codec.
 type frameHeader struct {
 	Sessions []frameEntry `json:"sessions"`
 }
@@ -890,12 +882,11 @@ type frameEntryResult struct {
 
 const (
 	frameStatusOK = "ok"
-	// frameStatusGap: the log blob does not continue the replica's log;
-	// the owner heals with a full re-ship (the stream analogue of the
-	// per-request 409).
+	// frameStatusGap: the log blob does not continue the replica's log
+	// (or does not decode); the owner heals with a full re-ship.
 	frameStatusGap = "gap"
-	// frameStatusNoReplica: no replica and no spec in the entry (the
-	// stream analogue of the per-request 404); the owner re-opens.
+	// frameStatusNoReplica: no replica and no spec in the entry; the
+	// owner re-opens with the spec and re-ships from zero.
 	frameStatusNoReplica = "no_replica"
 )
 
@@ -912,17 +903,32 @@ func decodeFrame(body []byte) (frameHeader, []byte, error) {
 		return hdr, nil, fmt.Errorf("decode frame header: %w", err)
 	}
 	blobs := body[4+hlen:]
-	need := 0
+	// Each length is checked against the bytes not yet claimed, never
+	// summed first: hostile lengths near MaxInt would wrap a running sum
+	// back into range and pass a total-only check.
+	rest := len(blobs)
 	for _, e := range hdr.Sessions {
 		if e.EventsLen < 0 || e.CheckpointLen < 0 {
 			return hdr, nil, fmt.Errorf("session %s: negative blob length", e.ID)
 		}
-		need += e.EventsLen + e.CheckpointLen
+		if e.EventsLen > rest || e.CheckpointLen > rest-e.EventsLen {
+			return hdr, nil, fmt.Errorf("session %s: blob lengths %d+%d exceed the %d unclaimed bytes", e.ID, e.EventsLen, e.CheckpointLen, rest)
+		}
+		rest -= e.EventsLen + e.CheckpointLen
 	}
-	if need != len(blobs) {
-		return hdr, nil, fmt.Errorf("frame declares %d blob bytes, carries %d", need, len(blobs))
+	if rest != 0 {
+		return hdr, nil, fmt.Errorf("frame carries %d blob bytes no session claims", rest)
 	}
 	return hdr, blobs, nil
+}
+
+// entryBlobs splits one entry's event and checkpoint blobs off the
+// front of a decoded frame's blob area and returns the remainder. The
+// bounds hold for every entry of a header decodeFrame accepted, taken
+// in order.
+func entryBlobs(blobs []byte, e frameEntry) (events, checkpoint, rest []byte) {
+	events, rest = blobs[:e.EventsLen], blobs[e.EventsLen:]
+	return events, rest[:e.CheckpointLen], rest[e.CheckpointLen:]
 }
 
 // frameBodyBuf pools the replica-side raw frame buffer. Everything
@@ -969,11 +975,9 @@ func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := frameResult{Sessions: make([]frameEntryResult, 0, len(hdr.Sessions))}
-	off := 0
 	for _, e := range hdr.Sessions {
-		evBlob := blobs[off : off+e.EventsLen]
-		cpBlob := blobs[off+e.EventsLen : off+e.EventsLen+e.CheckpointLen]
-		off += e.EventsLen + e.CheckpointLen
+		var evBlob, cpBlob []byte
+		evBlob, cpBlob, blobs = entryBlobs(blobs, e)
 		res.Sessions = append(res.Sessions, n.applyFrameEntry(e, evBlob, cpBlob))
 	}
 	writeClusterJSON(w, res)
@@ -1018,9 +1022,9 @@ func (d *frameDecode) decodeEvents(blob []byte) ([]obs.Event, error) {
 }
 
 // applyFrameEntry is the per-session half of a frame: open (when the
-// spec rides along), append the log blob, then apply the checkpoint —
-// the same order, with the same gap rules, as the per-request
-// endpoints.
+// spec rides along), append the log blob, then apply the checkpoint.
+// The log must continue the replica's tail (appendLog's gap rule) and
+// the checkpoint must not run ahead of it (setCheckpoint's rule).
 func (n *Node) applyFrameEntry(e frameEntry, evBlob, cpBlob []byte) frameEntryResult {
 	er := frameEntryResult{ID: e.ID, Status: frameStatusOK}
 	var rep *replica

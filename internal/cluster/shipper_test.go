@@ -97,8 +97,7 @@ func TestClusterStreamFailoverReplicaDeath(t *testing.T) {
 }
 
 // TestClusterStreamHealsAckGap truncates the replica's log behind the
-// owner's ack cursor — the stream analogue of the per-request 409 —
-// and requires the very next submit to heal in-stream: the frame's
+// owner's ack cursor and requires the very next submit to heal in-stream: the frame's
 // gap result resets the cursor, the re-ship replays the full log, the
 // waiter rides the heal to a normal ack, and the replica ends
 // byte-identical to the owner's trace.

@@ -57,8 +57,9 @@ const (
 	// layer (the peer was marked down and the request failed over or
 	// surfaced as a 502).
 	ClusterForwardErrors = "cluster.forward_errors"
-	// ClusterReplicationErrors counts replication attempts (log ship,
-	// checkpoint ship, replica open) that failed after retry.
+	// ClusterReplicationErrors counts routed mutations whose Replicate
+	// call failed: a submit's ack is withheld (502), while create and
+	// drain degrade and converge from the next ship.
 	ClusterReplicationErrors = "cluster.replication_errors"
 	// ClusterShips counts successful replication rounds: each one left
 	// the replica's log covering every event the owner had emitted.

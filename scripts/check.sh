@@ -1,10 +1,17 @@
 #!/bin/sh
-# Full local gate: vet, dvfslint, build, race-enabled tests, benchmark
+# Full local gate: gofmt, vet, dvfslint, build, race-enabled tests, benchmark
 # smoke.
 # Equivalent to `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt =="
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+	echo "gofmt drift:"
+	echo "$unformatted"
+	exit 1
+fi
 echo "== go vet =="
 go vet ./...
 # All eight analyzers; exit 1 covers findings and malformed/unused
@@ -27,6 +34,7 @@ echo "== fuzz smoke (5s each) =="
 go test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 go test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 go test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
+go test -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
 echo "== cluster smoke (kill-failover, zero accepted-task loss) =="
 go run ./cmd/dvfsload -mode cluster -clients 6 -session-tasks 30 -batch 6
 echo "OK"
