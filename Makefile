@@ -35,18 +35,21 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Short fuzz sessions for the dynamic structures, the binary trace
-# codec and the replica-side frame parser; cheap enough to run in
-# every `make check`.
+# codec, the replica-side frame parser and the plan/submit body
+# decoders; cheap enough to run in every `make check`.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 	$(GO) test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
+	$(GO) test -run='^FuzzDecodePlanBody$$' -fuzz='^FuzzDecodePlanBody$$' -fuzztime=5s ./internal/server
+	$(GO) test -run='^FuzzDecodeSubmitBody$$' -fuzz='^FuzzDecodeSubmitBody$$' -fuzztime=5s ./internal/server
 
-# Benchmark the hot packages and write the machine-readable baseline
-# for this PR (diff against the previous PR's with `make benchdiff`).
+# Benchmark the hot packages and write a new machine-readable baseline,
+# `make bench OUT=BENCH_PR<N>.json` (diff against the previous one with
+# `make benchdiff`). bench.sh refuses a missing or existing OUT.
 bench:
-	scripts/bench.sh BENCH_PR10.json
+	scripts/bench.sh $(OUT)
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
 # fails on >20% ns/op regressions in benchmarks both files share and

@@ -55,6 +55,60 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanCacheHitHandler is BenchmarkPlanCacheHit without the
+// client and the loopback: the pre-encoded body is served straight
+// through ServeHTTP, so the time is the handler's own — body read,
+// decode, canonical sort, hash, cache lookup and write.
+func BenchmarkPlanCacheHitHandler(b *testing.B) {
+	for _, n := range []int{32, 1000} {
+		b.Run(strconv.Itoa(n)+"tasks", func(b *testing.B) {
+			s := New(Config{})
+			defer s.Close()
+			body, err := json.Marshal(PlanRequest{Tasks: benchTasks(n)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/v1/plan", rd)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, req) // warm the cache
+			if w.Code != http.StatusOK {
+				b.Fatalf("warm-up: status %d %s", w.Code, w.Body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				w.Body.Reset()
+				s.ServeHTTP(w, req)
+			}
+			b.StopTimer()
+			var resp PlanResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || !resp.Cached {
+				b.Fatalf("last reply not a cache hit: %s (%v)", w.Body, err)
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeSubmitBody measures reading and decoding a one-task
+// Judge-trace submit body, the per-request decode of the session plane.
+func BenchmarkDecodeSubmitBody(b *testing.B) {
+	body := judgeSubmitBody(b)
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/v1/sessions/s/tasks", rd)
+	w := newDiscardResponseWriter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		var req SubmitRequest
+		if err := decodeTasksBody(w, r, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPlanCompute measures the planning plane with caching
 // disabled: queue, worker pool, WBG, and response shaping per request.
 func BenchmarkPlanCompute(b *testing.B) {

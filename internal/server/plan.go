@@ -171,8 +171,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlanRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeTasksBody(w, r, &req); err != nil {
+		s.writeAPIError(w, err, http.StatusBadRequest)
 		return
 	}
 	spec, params, plat, err := req.PlatformSpec.normalize()

@@ -175,7 +175,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var spec PlatformSpec
 	if err := decodeJSON(w, r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.writeAPIError(w, err, http.StatusBadRequest)
 		return
 	}
 	spec, params, plat, err := spec.normalize()
@@ -259,8 +259,8 @@ func (s *Server) handleSessionSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeTasksBody(w, r, &req); err != nil {
+		s.writeAPIError(w, err, http.StatusBadRequest)
 		return
 	}
 	tasks, err := tasksFromRecords(req.Tasks)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"dvfsched/internal/core"
@@ -183,12 +182,7 @@ type errorResponse struct {
 // decodeJSON parses a request body strictly (unknown fields rejected,
 // size-capped) into dst.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
+	return strictDecode(requestBody(w, r), dst)
 }
 
 // writeJSON serializes v with the given status code.
@@ -249,7 +243,8 @@ func WriteErrorEnvelope(w http.ResponseWriter, status int, code, format string, 
 }
 
 // writeAPIError maps typed errors to HTTP statuses and envelope codes:
-// this package's sentinels (errors.go) plus the core facade's.
+// this package's sentinels (errors.go) plus the core facade's, and an
+// oversize request body (413).
 // Backpressure (ErrBusy, ErrSessionTableFull) is 429 in steady state
 // and 503 once a drain has begun, so load balancers stop retrying a
 // terminating replica instead of backing off against it. Migration
@@ -258,7 +253,10 @@ func WriteErrorEnvelope(w http.ResponseWriter, status int, code, format string, 
 // Errors matching none of the sentinels get the caller's fallback
 // status.
 func (s *Server) writeAPIError(w http.ResponseWriter, err error, fallback int) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		writeCodedError(w, http.StatusRequestEntityTooLarge, "body_too_large", "%v", err)
 	case errors.Is(err, ErrDraining):
 		writeCodedError(w, http.StatusServiceUnavailable, "draining", "%v", err)
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrSessionTableFull):

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Benchmark the hot packages and write a machine-readable baseline.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh BENCH_PR<N>.json
 #
 # Runs `go test -bench` over the performance-sensitive packages
 # (envelope construction, the order-statistic tree, the dynamic
@@ -11,10 +11,22 @@
 # diff ns/op and allocs/op mechanically. BENCHTIME overrides the
 # per-benchmark budget (default 0.3s; use e.g. BENCHTIME=2s for a
 # lower-variance baseline).
+#
+# The output path is required and must not exist yet: every
+# BENCH_PR<N>.json is the record a later benchdiff compares against, so
+# the script refuses to overwrite one and runs nothing in that case.
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_PR6.json}
+if [ $# -ne 1 ] || [ -z "$1" ]; then
+    echo "usage: scripts/bench.sh BENCH_PR<N>.json" >&2
+    exit 2
+fi
+OUT=$1
+if [ -e "$OUT" ]; then
+    echo "bench.sh: $OUT already exists; refusing to overwrite a recorded baseline" >&2
+    exit 1
+fi
 BENCHTIME=${BENCHTIME:-0.3s}
 PKGS="./internal/envelope ./internal/rangetree ./internal/dynsched ./internal/online ./internal/obs ./internal/server ./internal/cluster"
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Shell test for scripts/benchdiff.sh: the failure modes that must not
 # pass vacuously (missing or empty baselines), the regression gate, and
-# the "new benchmark" report.
+# the "new benchmark" report; plus scripts/bench.sh's refusal to run
+# without an output path or over an existing baseline.
 #
 # Usage: scripts/benchdiff_test.sh
 set -eu
@@ -171,6 +172,36 @@ fi
 case $out in
 *"at least two"*) ;;
 *) fail "single-baseline discovery: unhelpful error
+$out" ;;
+esac
+
+# bench.sh must refuse to run without an output path and must not
+# overwrite an existing baseline; both checks come before any
+# benchmark runs, so these cases take no time.
+got=0
+out=$(scripts/bench.sh 2>&1) || got=$?
+if [ "$got" = 0 ]; then
+    fail "bench.sh without an output path passed
+$out"
+fi
+case $out in
+*usage*) ;;
+*) fail "bench.sh without an output path: no usage message
+$out" ;;
+esac
+cp "$DIR/old.json" "$DIR/kept.json"
+got=0
+out=$(scripts/bench.sh "$DIR/kept.json" 2>&1) || got=$?
+if [ "$got" = 0 ]; then
+    fail "bench.sh overwrote an existing baseline
+$out"
+fi
+if ! cmp -s "$DIR/old.json" "$DIR/kept.json"; then
+    fail "bench.sh modified an existing baseline"
+fi
+case $out in
+*"already exists"*) ;;
+*) fail "bench.sh on an existing baseline: unhelpful error
 $out" ;;
 esac
 

@@ -35,6 +35,8 @@ go test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 go test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 go test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
 go test -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
+go test -run='^FuzzDecodePlanBody$' -fuzz='^FuzzDecodePlanBody$' -fuzztime=5s ./internal/server
+go test -run='^FuzzDecodeSubmitBody$' -fuzz='^FuzzDecodeSubmitBody$' -fuzztime=5s ./internal/server
 echo "== cluster smoke (kill-failover, zero accepted-task loss) =="
 go run ./cmd/dvfsload -mode cluster -clients 6 -session-tasks 30 -batch 6
 echo "OK"
